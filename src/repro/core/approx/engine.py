@@ -9,6 +9,12 @@ exact execution — with the reason recorded, because the fallback conditions
 (no model, non-enumerable inputs, unsupported SQL shape) are themselves
 findings the paper discusses in §4.2.
 
+Routing happens once: :meth:`ApproximateQueryEngine.sketch_route` binds the
+first route below that can serve a statement, together with the route's
+prepared state, and :meth:`ApproximateQueryEngine.answer` executes exactly
+that route.  A bound route that fails becomes ``exact-fallback`` with its
+reason; no other route is tried.
+
 Answer routes
 -------------
 ``point``
@@ -30,7 +36,8 @@ Answer routes
     The general route: enumerate the parameter space, generate the virtual
     table, run the query plan over it (the paper's second example query).
 ``exact-fallback``
-    No usable model covers the query; execute against the raw data.
+    No route could be bound, or the bound route failed; execute against the
+    raw data.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ import numpy as np
 from repro.core.approx.aggregates import analytic_aggregate, supports_analytic
 from repro.core.approx.enumeration import (
     DEFAULT_MAX_ROWS,
+    EnumerationPlan,
     build_enumeration_plan,
     generate_virtual_table,
 )
@@ -59,7 +67,7 @@ from repro.core.approx.routes.grouped import (
     answer_grouped,
     plan_grouped_route,
 )
-from repro.core.approx.routes.range_agg import analyse_range_statement, answer_range
+from repro.core.approx.routes.range_agg import answer_range, plan_range_route
 from repro.core.approx.routes.router import RoutingPolicy
 from repro.core.captured_model import CapturedModel
 from repro.core.model_store import ModelStore
@@ -70,27 +78,31 @@ from repro.db.operators.aggregate import SUPPORTED_AGGREGATES
 from repro.db.expressions import FunctionCall
 from repro.db.sql.ast import SelectStatement, Star, Statement
 from repro.db.sql.planner import plan_select
+from repro.db.stats import TableStats
 from repro.db.table import Table
 from repro.errors import (
     ApproximationError,
-    EnumerationError,
     ExecutionError,
     ModelNotFoundError,
+    ReproError,
     SQLError,
 )
 from repro.obs.trace import NULL_TRACER, traced_operator_execute
 
-__all__ = ["ApproximateAnswer", "ApproximateQueryEngine", "RouteSketch"]
+__all__ = ["ApproximateAnswer", "ApproximateQueryEngine", "RouteDecline", "RouteSketch"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RouteSketch:
-    """A static prediction of the model route that would serve a statement.
+    """The model route bound to serve a statement.
 
-    Produced by :meth:`ApproximateQueryEngine.sketch_route` *without
-    executing anything*: the unified planner turns a sketch into a plan node
-    with predicted cost and error, then decides model vs. exact.  The fields
-    carry exactly what the cost/error models need.
+    Produced by :meth:`ApproximateQueryEngine.sketch_route` — the engine's
+    only routing cascade — *without evaluating any model*.  The unified
+    planner turns a sketch into a plan node with predicted cost and error;
+    :meth:`ApproximateQueryEngine.answer` then executes exactly the bound
+    route from ``state``.  A sketch is read-only: cached plans share it
+    across executions, and the plan cache's catalog/store/cost version key
+    guarantees the state it binds is current.
     """
 
     route: str
@@ -111,8 +123,27 @@ class RouteSketch:
     aggregate_functions: tuple[str, ...] = ()
     #: The modelled output column (error prediction falls back to its scale).
     output_column: str = ""
-    #: The grouped route plan, kept so execution can reuse it.
-    grouped_plan: GroupedRoutePlan | None = None
+    #: The statement the route serves.
+    statement: SelectStatement | None = None
+    #: The serving model (None for the grouped routes, which may use several).
+    model: CapturedModel | None = None
+    #: The route's prepared state: the point route's ``(group key, inputs)``,
+    #: a :class:`RangeRoutePlan`, the analytic route's ``(aggregates, input
+    #: ranges, input means, row count)``, an :class:`EnumerationPlan` or a
+    #: :class:`GroupedRoutePlan`.
+    state: Any = None
+
+
+@dataclass(frozen=True)
+class RouteDecline:
+    """Why no model route can serve a statement (the other sketch outcome).
+
+    ``error`` is the typed error :meth:`ApproximateQueryEngine.answer`
+    raises with ``reason`` when exact fallback is refused.
+    """
+
+    reason: str
+    error: type[ReproError] = ApproximationError
 
 
 @dataclass
@@ -200,30 +231,29 @@ class ApproximateQueryEngine:
     def answer(
         self,
         sql: str,
+        sketch: RouteSketch | RouteDecline,
         allow_fallback: bool = True,
-        statement: Statement | None = None,
-        grouped_route_plan: GroupedRoutePlan | None = None,
     ) -> ApproximateAnswer:
-        """Answer ``sql`` from captured models, falling back to exact execution.
+        """Execute the model route ``sketch`` bound for ``sql``.
 
-        ``statement`` lets the unified planner hand over the AST it already
-        parsed; without it, the SQL text is parsed through the executor's
-        shared LRU parse cache — never re-lexed per call.
-        ``grouped_route_plan`` likewise hands over the per-group routing the
-        planner's sketch already computed, so grouped queries are not
-        route-planned twice per execution (the caller guarantees it was
-        built against the current catalog/store state).
+        ``sketch`` is :meth:`sketch_route`'s outcome for ``sql``, bound
+        against the catalog/store state this execution reads (the unified
+        planner hands over its plan's).  Only the bound route runs.  When no
+        route was bound, or the bound route fails, the answer is
+        ``exact-fallback`` carrying the reason — or, with
+        ``allow_fallback=False``, the typed error is raised.  No other model
+        route is ever tried.
         """
         started = perf_counter()
         # Per-execution IO scope: interleaved queries on other threads never
         # leak pages into this answer's attribution.
         with self.database.io_model.scope() as io_scope:
             try:
-                answer = self._answer_from_models(
-                    sql, statement=statement, grouped_route_plan=grouped_route_plan
-                )
+                if isinstance(sketch, RouteDecline):
+                    raise sketch.error(sketch.reason)
+                answer = self._ROUTE_EXECUTORS[sketch.route](self, sql, sketch)
                 self._note_staleness(answer)
-            except (ApproximationError, EnumerationError, ModelNotFoundError) as exc:
+            except (ApproximationError, ModelNotFoundError) as exc:
                 if not allow_fallback:
                     raise
                 answer = self._exact(sql, reason=str(exc))
@@ -240,132 +270,86 @@ class ApproximateQueryEngine:
         answer.io = io_scope.snapshot()
         return answer
 
-    def compare(self, sql: str) -> dict[str, Any]:
-        """Run both the approximate and the exact query; report errors.
-
-        Returns a dict with the two answers plus per-column mean relative
-        error (for numeric result columns aligned by position).
-        """
-        approx = self.answer(sql)
-        exact = self.answer_exact(sql)
-        errors = _relative_errors(approx.table, exact.table)
-        return {
-            "approximate": approx,
-            "exact": exact,
-            "route": approx.route,
-            "group_routes": dict(approx.group_routes),
-            "relative_errors": errors,
-            "max_relative_error": max(errors.values()) if errors else None,
-            "approx_pages_read": approx.io.get("pages_read", 0.0),
-            "exact_pages_read": exact.io.get("pages_read", 0.0),
-        }
-
-    # -- static route probing (unified planner) -----------------------------------
+    # -- routing: the one cascade --------------------------------------------------
 
     def sketch_route(
         self, sql: str, statement: Statement | None = None, for_execution: bool = False
-    ) -> RouteSketch | None:
-        """Predict — without executing — which model route would serve ``sql``.
+    ) -> RouteSketch | RouteDecline:
+        """Bind — without evaluating any model — the route that serves ``sql``.
 
-        Mirrors the routing order of :meth:`answer` using the routes' shared
-        plan/shape gates, so the prediction and the execution cannot drift
-        apart.  Returns None when no model route applies (the statement can
-        only run exactly).  ``for_execution=True`` permits side effects the
-        real answer path would incur anyway (the on-demand grouped harvest);
-        a pure EXPLAIN must leave the store untouched and passes False.
+        This is the engine's only routing cascade: grouped → point → range →
+        analytic → virtual-table.  Each route's plan phase runs every check
+        that could make it decline, so the first route that binds is the one
+        :meth:`answer` executes, and what EXPLAIN shows is what runs.  When
+        no route applies, returns a :class:`RouteDecline` with the reason
+        and error type.  ``for_execution=True`` permits side effects
+        execution would incur anyway (the on-demand grouped harvest); a pure
+        EXPLAIN must leave the store untouched and passes False.
         """
         if statement is None:
             statement = self._parse(sql)
+        try:
+            return self._bind_route(statement, for_execution)
+        except (ApproximationError, ModelNotFoundError) as exc:
+            return RouteDecline(reason=str(exc), error=type(exc))
+
+    def _bind_route(self, statement: Statement, for_execution: bool) -> RouteSketch:
+        """The cascade itself; a typed error means no model route applies."""
         if not isinstance(statement, SelectStatement):
-            return None
+            raise ApproximationError("only SELECT statements can be answered approximately")
         if statement.table is None or statement.joins:
-            return None
+            raise ApproximationError("approximate answering supports single-table queries only")
         table_name = statement.table.name
         if not self.database.has_table(table_name):
-            return None
-        try:
-            referenced = _referenced_columns(statement)
-        except ApproximationError:
-            return None
-
+            raise ApproximationError(f"unknown table {table_name!r}")
+        referenced = _referenced_columns(statement)
         functions = _aggregate_functions(statement)
 
-        # Route 1: grouped (per-group model serving, exact fill-in).
+        # Route 1: GROUP BY aggregates served group-by-group (does its own
+        # model lookup — the query's group keys need not be covered by the
+        # generically best model, and grouped models can be harvested on
+        # demand through ``grouped_model_provider``).
         grouped = self._plan_grouped(statement, table_name, allow_harvest=for_execution)
         if grouped is not None:
-            return self._sketch_grouped(grouped, table_name, functions)
+            return self._sketch_grouped(statement, grouped, table_name, functions)
 
-        try:
-            model = self._select_model(table_name, referenced)
-        except ModelNotFoundError:
-            return None
+        model = self._select_model(table_name, referenced)
         covered = set(model.group_columns) | set(model.input_columns) | {model.output_column}
-        if referenced - covered:
-            return None
-        rse = model.quality.residual_standard_error
-        relative = model.quality.relative_rse
+        uncovered = referenced - covered
+        if uncovered:
+            raise ApproximationError(
+                f"query references columns {sorted(uncovered)} that model {model.model_id} does not cover"
+            )
         pinned = _extract_pinned_values(statement.where)
+        stats = self.database.stats(table_name)
 
-        # Route 2: fully pinned point query.
-        if self._point_shape(statement, model, pinned):
-            return RouteSketch(
-                route="point",
-                model_ids=[model.model_id],
-                detail="all model inputs pinned by equality predicates",
-                residual_standard_error=rse,
-                relative_rse=relative,
-                est_points=1,
-                aggregate_functions=functions,
-                output_column=model.output_column,
-            )
-
-        # Route 3: aggregates restricted by range predicates.
-        if analyse_range_statement(statement, model) is not None:
-            return RouteSketch(
-                route="range-aggregate",
-                model_ids=[model.model_id],
-                detail="model evaluated/integrated over the restricted input domain",
-                residual_standard_error=rse,
-                relative_rse=relative,
-                est_points=self._domain_points(model),
-                aggregate_functions=functions,
-                output_column=model.output_column,
-            )
-
-        # Route 4: closed-form analytic aggregate.
-        if self._analytic_shape(statement, model, table_name):
-            return RouteSketch(
-                route="analytic-aggregate",
-                model_ids=[model.model_id],
-                detail="closed-form aggregate from model parameters",
-                residual_standard_error=rse,
-                relative_rse=relative,
-                est_points=0,
-                aggregate_functions=functions,
-                output_column=model.output_column,
-            )
-
-        # Route 5: parameter-space enumeration.
-        stats = self.database.stats(model.table_name)
-        try:
-            plan = build_enumeration_plan(
-                model, stats, pinned_values=pinned, max_rows=self.max_virtual_rows
-            )
-        except EnumerationError:
-            return None
+        # Routes 2-5, in order; virtual-table binds or raises.
+        route, state, detail, est_points = (
+            self._plan_point(statement, model, pinned)
+            or self._plan_range(statement, model, stats)
+            or self._plan_analytic(statement, model, stats)
+            or self._plan_virtual_table(model, stats, pinned)
+        )
         return RouteSketch(
-            route="virtual-table",
+            route=route,
             model_ids=[model.model_id],
-            detail=f"parameter space enumerable ({plan.describe()})",
-            residual_standard_error=rse,
-            relative_rse=relative,
-            est_points=plan.num_rows,
+            detail=detail,
+            residual_standard_error=model.quality.residual_standard_error,
+            relative_rse=model.quality.relative_rse,
+            est_points=est_points,
             aggregate_functions=functions,
             output_column=model.output_column,
+            statement=statement,
+            model=model,
+            state=state,
         )
 
     def _sketch_grouped(
-        self, grouped: GroupedRoutePlan, table_name: str, functions: tuple[str, ...]
+        self,
+        statement: SelectStatement,
+        grouped: GroupedRoutePlan,
+        table_name: str,
+        functions: tuple[str, ...],
     ) -> RouteSketch:
         from repro.core.approx.routes.aggcalc import current_group_rows
 
@@ -404,46 +388,85 @@ class ApproximateQueryEngine:
             uncovered_rows=uncovered_rows,
             aggregate_functions=functions,
             output_column=grouped.analysis.output_column,
-            grouped_plan=grouped,
+            statement=statement,
+            state=grouped,
         )
 
-    def _point_shape(
+    # Each ``_plan_<route>`` is a route's plan phase: None when the route does
+    # not apply, else ``(route, bound state, detail, estimated points)``.
+
+    def _plan_point(
         self,
         statement: SelectStatement,
         model: CapturedModel,
         pinned: dict[str, list[Any]],
-    ) -> bool:
-        """The point route's shape gate (shared with :meth:`_try_point_route`)."""
+    ) -> tuple | None:
+        """Every group key and input pinned to one value: one model evaluation."""
         if statement.group_by or statement.order_by or statement.distinct:
-            return False
-        if _has_aggregates(statement):
-            return False
-        if len(statement.items) != 1:
-            return False
+            return None
+        if _has_aggregates(statement) or len(statement.items) != 1:
+            return None
         item = statement.items[0]
         if isinstance(item.expression, Star) or not isinstance(item.expression, ColumnRef):
-            return False
+            return None
         if _bare_name(item.expression.name) != model.output_column:
-            return False
+            return None
         needed = list(model.group_columns) + list(model.input_columns)
-        return all(column in pinned and len(pinned[column]) == 1 for column in needed)
+        if not all(column in pinned and len(pinned[column]) == 1 for column in needed):
+            return None
+        inputs: dict[str, float] = {}
+        for column in model.input_columns:
+            try:
+                inputs[column] = float(pinned[column][0])
+            except (TypeError, ValueError):
+                raise ApproximationError(
+                    f"input column {column!r} is pinned to a non-numeric value; "
+                    "the model cannot be evaluated there"
+                ) from None
+        group_key = {column: pinned[column][0] for column in model.group_columns}
+        return "point", (group_key or None, inputs), "all model inputs pinned by equality predicates", 1
 
-    def _analytic_shape(
-        self, statement: SelectStatement, model: CapturedModel, table_name: str
-    ) -> bool:
-        """The analytic route's shape gate, including the stats it needs."""
+    def _plan_range(
+        self, statement: SelectStatement, model: CapturedModel, stats: TableStats
+    ) -> tuple | None:
+        """Aggregates restricted by range predicates."""
+        plan = plan_range_route(statement, model, stats)
+        if plan is None:
+            return None
+        detail = "model evaluated/integrated over the restricted input domain"
+        return "range-aggregate", plan, detail, self._domain_points(model)
+
+    def _plan_analytic(
+        self, statement: SelectStatement, model: CapturedModel, stats: TableStats
+    ) -> tuple | None:
+        """Closed-form aggregates for ungrouped models (§4.2 analytic solutions)."""
         if model.is_grouped or statement.group_by or statement.where is not None:
-            return False
+            return None
         if not supports_analytic(model):
-            return False
-        if _simple_aggregates(statement, model.output_column) is None:
-            return False
-        stats = self.database.stats(table_name)
+            return None
+        aggregates = _simple_aggregates(statement, model.output_column)
+        if aggregates is None:
+            return None
+        input_ranges: dict[str, tuple[float, float]] = {}
+        input_means: dict[str, float] = {}
         for column in model.input_columns:
             column_stats = stats.columns.get(column)
             if column_stats is None or column_stats.min_value is None or column_stats.max_value is None:
-                return False
-        return True
+                return None
+            input_ranges[column] = (float(column_stats.min_value), float(column_stats.max_value))
+            if column_stats.mean is not None:
+                input_means[column] = float(column_stats.mean)
+        state = (aggregates, input_ranges, input_means or None, stats.row_count)
+        return "analytic-aggregate", state, "closed-form aggregate from model parameters", 0
+
+    def _plan_virtual_table(
+        self, model: CapturedModel, stats: TableStats, pinned: dict[str, list[Any]]
+    ) -> tuple:
+        """The general route: enumerate the parameter space (raises if it cannot)."""
+        plan = build_enumeration_plan(
+            model, stats, pinned_values=pinned, max_rows=self.max_virtual_rows
+        )
+        return "virtual-table", plan, f"parameter space enumerable ({plan.describe()})", plan.num_rows
 
     def _domain_points(self, model: CapturedModel) -> int:
         """How many domain points a range/enumeration evaluation touches."""
@@ -457,8 +480,6 @@ class ApproximateQueryEngine:
             points *= max(len(model.fit.records), 1)  # type: ignore[union-attr]
         return min(points, self.max_virtual_rows)
 
-    # -- routing ------------------------------------------------------------------
-
     def _parse(self, sql: str) -> Statement:
         """Parse through the executor's shared LRU cache (PR-3 machinery).
 
@@ -468,63 +489,6 @@ class ApproximateQueryEngine:
         here — the version-keyed *plan* cache guards exact execution.
         """
         return self.database.parse_sql(sql)
-
-    def _answer_from_models(
-        self,
-        sql: str,
-        statement: Statement | None = None,
-        grouped_route_plan: GroupedRoutePlan | None = None,
-    ) -> ApproximateAnswer:
-        if statement is None:
-            statement = self._parse(sql)
-        if not isinstance(statement, SelectStatement):
-            raise ApproximationError("only SELECT statements can be answered approximately")
-        if statement.table is None or statement.joins:
-            raise ApproximationError("approximate answering supports single-table queries only")
-
-        table_name = statement.table.name
-        if not self.database.has_table(table_name):
-            raise ApproximationError(f"unknown table {table_name!r}")
-
-        referenced = _referenced_columns(statement)
-
-        # Route 1: GROUP BY aggregates served group-by-group (does its own
-        # model lookup — the query's group keys need not be covered by the
-        # generically best model, and grouped models can be harvested on
-        # demand through ``grouped_model_provider``).
-        grouped_answer = self._try_grouped_route(
-            sql, statement, table_name, route_plan=grouped_route_plan
-        )
-        if grouped_answer is not None:
-            return grouped_answer
-
-        model = self._select_model(table_name, referenced)
-
-        pinned = _extract_pinned_values(statement.where)
-        covered = set(model.group_columns) | set(model.input_columns) | {model.output_column}
-        uncovered = referenced - covered
-        if uncovered:
-            raise ApproximationError(
-                f"query references columns {sorted(uncovered)} that model {model.model_id} does not cover"
-            )
-
-        # Route 2: fully pinned point query.
-        point_answer = self._try_point_route(statement, model, pinned)
-        if point_answer is not None:
-            return point_answer
-
-        # Route 3: aggregates restricted by range predicates.
-        range_answer = self._try_range_route(sql, statement, model, table_name)
-        if range_answer is not None:
-            return range_answer
-
-        # Route 4: analytic aggregate for ungrouped, closed-form friendly models.
-        analytic_answer = self._try_analytic_route(statement, model, table_name)
-        if analytic_answer is not None:
-            return analytic_answer
-
-        # Route 5: generic parameter-space enumeration.
-        return self._virtual_table_route(sql, statement, model, pinned)
 
     def _select_model(self, table_name: str, referenced: set[str]) -> CapturedModel:
         """Pick the captured model whose output the query needs.
@@ -559,8 +523,6 @@ class ApproximateQueryEngine:
             raise ModelNotFoundError(f"no usable captured model for table {table_name!r}")
         return best
 
-    # -- route implementations ---------------------------------------------------------
-
     def _grouped_candidates(
         self,
         statement_analysis,
@@ -588,7 +550,7 @@ class ApproximateQueryEngine:
     def _plan_grouped(
         self, statement: SelectStatement, table_name: str, allow_harvest: bool = True
     ) -> GroupedRoutePlan | None:
-        """The grouped route's plan phase (shared by answer and sketch)."""
+        """The grouped route's plan phase."""
         analysis = analyse_grouped_statement(statement)
         if analysis is None:
             return None
@@ -605,19 +567,13 @@ class ApproximateQueryEngine:
             analysis=analysis,
         )
 
-    def _try_grouped_route(
-        self,
-        sql: str,
-        statement: SelectStatement,
-        table_name: str,
-        route_plan: GroupedRoutePlan | None = None,
-    ) -> ApproximateAnswer | None:
+    # -- bound-route execution -----------------------------------------------------
+
+    def _execute_grouped(self, sql: str, sketch: RouteSketch) -> ApproximateAnswer:
         """GROUP BY aggregates evaluated per group, with exact fill-in."""
-        if route_plan is None:
-            route_plan = self._plan_grouped(statement, table_name)
-        if route_plan is None:
-            return None
-        stats = self.database.stats(table_name)
+        route_plan: GroupedRoutePlan = sketch.state
+        statement = sketch.statement
+        stats = self.database.stats(statement.table.name)
         tracer = self.tracer
         with tracer.span("route:grouped") as span:
             if tracer.active:
@@ -626,16 +582,7 @@ class ApproximateQueryEngine:
                     exact_groups=route_plan.n_exact_groups,
                     models=list(route_plan.used_model_ids),
                 )
-            result = answer_grouped(
-                statement,
-                self.store,
-                stats,
-                self._execute_exact_groups,
-                policy=self.routing_policy,
-                route_plan=route_plan,
-            )
-        if result is None:
-            return None
+            result = answer_grouped(statement, stats, self._execute_exact_groups, route_plan)
         return ApproximateAnswer(
             sql=sql,
             table=result.table,
@@ -682,14 +629,11 @@ class ApproximateQueryEngine:
                 return traced_operator_execute(planned.root, tracer)
         return planned.root.execute()
 
-    def _try_range_route(
-        self, sql: str, statement: SelectStatement, model: CapturedModel, table_name: str
-    ) -> ApproximateAnswer | None:
+    def _execute_range(self, sql: str, sketch: RouteSketch) -> ApproximateAnswer:
         """Aggregates over range-restricted input domains."""
-        stats = self.database.stats(table_name)
-        result = answer_range(statement, model, stats)
-        if result is None:
-            return None
+        model = sketch.model
+        stats = self.database.stats(model.table_name)
+        result = answer_range(sketch.statement, model, stats, sketch.state)
         return ApproximateAnswer(
             sql=sql,
             table=result.table,
@@ -701,27 +645,17 @@ class ApproximateQueryEngine:
             virtual_rows_generated=result.virtual_rows_generated,
         )
 
-    def _try_point_route(
-        self,
-        statement: SelectStatement,
-        model: CapturedModel,
-        pinned: dict[str, list[Any]],
-    ) -> ApproximateAnswer | None:
-        """Single model evaluation when every group key and input is pinned to one value."""
-        if not self._point_shape(statement, model, pinned):
-            return None
-        item = statement.items[0]
-
+    def _execute_point(self, sql: str, sketch: RouteSketch) -> ApproximateAnswer:
+        """Single model evaluation at the pinned group key and inputs."""
         from repro.core.approx.point import answer_point_query
 
-        group_key = {column: pinned[column][0] for column in model.group_columns}
-        input_values = {column: float(pinned[column][0]) for column in model.input_columns}
-        point = answer_point_query(model, input_values, group_key or None)
-
-        output_name = item.alias or model.output_column
+        model = sketch.model
+        group_key, inputs = sketch.state
+        point = answer_point_query(model, inputs, group_key)
+        output_name = sketch.statement.items[0].alias or model.output_column
         table = Table.from_dict("approximate", {output_name: [point.value]})
         return ApproximateAnswer(
-            sql="",
+            sql=sql,
             table=table,
             route="point",
             is_exact=False,
@@ -731,42 +665,21 @@ class ApproximateQueryEngine:
             virtual_rows_generated=1,
         )
 
-    def _try_analytic_route(
-        self,
-        statement: SelectStatement,
-        model: CapturedModel,
-        table_name: str,
-    ) -> ApproximateAnswer | None:
-        """Closed-form aggregates for ungrouped models (§4.2 analytic solutions)."""
-        if not self._analytic_shape(statement, model, table_name):
-            return None
-        aggregates = _simple_aggregates(statement, model.output_column)
-        if aggregates is None:  # pragma: no cover - _analytic_shape already gated
-            return None
-
-        stats = self.database.stats(table_name)
-        input_ranges = {}
-        input_means: dict[str, float] = {}
-        for column in model.input_columns:
-            column_stats = stats.columns.get(column)
-            if column_stats is None or column_stats.min_value is None or column_stats.max_value is None:
-                return None
-            input_ranges[column] = (float(column_stats.min_value), float(column_stats.max_value))
-            if column_stats.mean is not None:
-                input_means[column] = float(column_stats.mean)
-        row_count = stats.row_count
-
+    def _execute_analytic(self, sql: str, sketch: RouteSketch) -> ApproximateAnswer:
+        """Closed-form aggregates from the model parameters."""
+        model = sketch.model
+        aggregates, input_ranges, input_means, row_count = sketch.state
         data: dict[str, list[Any]] = {}
         errors: dict[str, float] = {}
         for alias, function in aggregates:
             result = analytic_aggregate(
-                model, function, input_ranges, row_count, input_means=input_means or None
+                model, function, input_ranges, row_count, input_means=input_means
             )
             data[alias] = [result.value]
             errors[alias] = result.error.standard_error
         table = Table.from_dict("approximate", data)
         return ApproximateAnswer(
-            sql="",
+            sql=sql,
             table=table,
             route="analytic-aggregate",
             is_exact=False,
@@ -776,16 +689,12 @@ class ApproximateQueryEngine:
             virtual_rows_generated=0,
         )
 
-    def _virtual_table_route(
-        self,
-        sql: str,
-        statement: SelectStatement,
-        model: CapturedModel,
-        pinned: dict[str, list[Any]],
-    ) -> ApproximateAnswer:
-        stats = self.database.stats(model.table_name)
+    def _execute_virtual_table(self, sql: str, sketch: RouteSketch) -> ApproximateAnswer:
+        """Generate the virtual table and run the statement's plan over it."""
+        model = sketch.model
+        statement = sketch.statement
+        plan: EnumerationPlan = sketch.state
         tracer = self.tracer
-        plan = build_enumeration_plan(model, stats, pinned_values=pinned, max_rows=self.max_virtual_rows)
         with tracer.span("enumerate") as span:
             virtual = generate_virtual_table(model, plan, table_name=model.table_name)
             if tracer.active:
@@ -823,6 +732,16 @@ class ApproximateQueryEngine:
             column_errors=errors,
             virtual_rows_generated=virtual.num_rows,
         )
+
+    #: Bound route -> its executor: the single dispatch point of :meth:`answer`.
+    _ROUTE_EXECUTORS = {
+        "grouped-model": _execute_grouped,
+        "grouped-hybrid": _execute_grouped,
+        "point": _execute_point,
+        "range-aggregate": _execute_range,
+        "analytic-aggregate": _execute_analytic,
+        "virtual-table": _execute_virtual_table,
+    }
 
     def _exact(self, sql: str, reason: str) -> ApproximateAnswer:
         result = self.database.sql(sql)

@@ -22,7 +22,7 @@ from repro.core.approx.routes.constraints import (
     extract_constraints,
 )
 from repro.core.approx.routes.grouped import GroupedAnswer, answer_grouped
-from repro.core.approx.routes.range_agg import RangeAnswer, answer_range
+from repro.core.approx.routes.range_agg import RangeAnswer, answer_range, plan_range_route
 from repro.core.approx.routes.router import (
     GroupAssignment,
     GroupRoutingPlan,
@@ -42,4 +42,5 @@ __all__ = [
     "answer_grouped",
     "RangeAnswer",
     "answer_range",
+    "plan_range_route",
 ]

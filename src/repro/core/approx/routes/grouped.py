@@ -73,14 +73,15 @@ class GroupedAnswer:
     virtual_rows_generated: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupedRoutePlan:
     """The planned (not yet evaluated) grouped route for one statement.
 
     This is the *plan phase* of the grouped route, split out so the unified
     query planner can inspect the model/exact group split — and predict cost
     and error for it — without evaluating a single model.  ``answer_grouped``
-    consumes it to produce the actual answer.
+    consumes it to produce the actual answer.  Cached plans share it across
+    executions, so it is frozen.
     """
 
     analysis: GroupedStatementAnalysis
@@ -89,6 +90,9 @@ class GroupedRoutePlan:
     #: Per-group model-vs-exact assignments (the PR-2 router's output).
     routing: Any  # GroupRoutingPlan
     output_null_fraction: float
+    #: Serving model id -> its input-domain restriction (the restriction
+    #: depends only on the model's inputs, not the group).
+    restrictions: dict[int, DomainRestriction]
 
     @property
     def n_model_groups(self) -> int:
@@ -117,12 +121,10 @@ def plan_grouped_route(
 ) -> GroupedRoutePlan | None:
     """Plan the grouped route: shape gates + per-group routing, no evaluation.
 
-    Returns None when the statement shape is outside this route or no group
-    can be served from a model, leaving the statement to the
-    enumeration/exact paths.  This is the single gate implementation shared
-    by route execution (:func:`answer_grouped`) and the unified planner's
-    static probe — what the probe predicts and what execution serves cannot
-    drift apart.
+    Returns None when the statement shape is outside this route, no group
+    can be served from a model, or a serving model's input domain cannot be
+    restricted, leaving the statement to the other routes.  Every decline
+    happens here, so a plan :func:`answer_grouped` receives always serves.
     """
     if analysis is None:
         analysis = analyse_grouped_statement(statement)
@@ -185,45 +187,40 @@ def plan_grouped_route(
     )
     if not routing.model_groups:
         return None
+    restrictions: dict[int, DomainRestriction] = {}
+    for assignment in routing.model_groups:
+        model = assignment.model
+        if model.model_id not in restrictions:
+            restricted = restricted_domains(model, stats, constraints)
+            if restricted is None:
+                return None
+            restrictions[model.model_id] = restricted
     return GroupedRoutePlan(
         analysis=analysis,
         candidates=candidates,
         routing=routing,
         output_null_fraction=output_null_fraction,
+        restrictions=restrictions,
     )
 
 
 def answer_grouped(
     statement: SelectStatement,
-    store: ModelStore,
     stats: TableStats,
     execute_exact_groups,
-    policy: RoutingPolicy | None = None,
-    models: list[CapturedModel] | None = None,
-    analysis: "GroupedStatementAnalysis | None" = None,
-    route_plan: GroupedRoutePlan | None = None,
-) -> GroupedAnswer | None:
-    """Try to answer a GROUP BY aggregate statement from per-group models.
+    route_plan: GroupedRoutePlan,
+) -> GroupedAnswer:
+    """Answer a GROUP BY aggregate statement from its planned grouped route.
 
+    ``route_plan`` comes from :func:`plan_grouped_route`.
     ``execute_exact_groups(statement, membership_expression)`` is a callback
     (supplied by the engine) that runs the statement exactly, restricted to
     the given groups, against the real catalog — charging real IO.
-    ``analysis`` lets the engine pass the :func:`analyse_grouped_statement`
-    result it already computed; ``route_plan`` an already-planned route
-    (from :func:`plan_grouped_route`).  Returns None when the statement
-    shape is outside this route, leaving it to the enumeration/exact paths.
     """
-    if route_plan is None:
-        route_plan = plan_grouped_route(
-            statement, store, stats, policy=policy, models=models, analysis=analysis
-        )
-    if route_plan is None:
-        return None
     analysis = route_plan.analysis
     group_columns = analysis.group_columns
     specs = analysis.specs
     order_keys = analysis.order_keys
-    constraints = analysis.constraints
     output_null_fraction = route_plan.output_null_fraction
     plan = route_plan.routing
 
@@ -233,19 +230,12 @@ def answer_grouped(
     group_routes: dict[tuple[Any, ...], str] = {}
     virtual_rows = 0
 
-    # The domain restriction depends only on the model's input set, not the
-    # group — compute it once per serving model, not once per group.  Live
-    # per-group cardinalities from the catalog supersede the fit-time counts
-    # entirely (no growth heuristics, no staleness allowance needed).
-    restriction_cache: dict[int, DomainRestriction | None] = {}
+    # Live per-group cardinalities from the catalog supersede the fit-time
+    # counts entirely (no growth heuristics, no staleness allowance needed).
     live_rows = current_group_rows(stats, group_columns)
     for assignment in plan.model_groups:
         model = assignment.model
-        if model.model_id not in restriction_cache:
-            restriction_cache[model.model_id] = restricted_domains(model, stats, constraints)
-        restricted = restriction_cache[model.model_id]
-        if restricted is None:
-            return None
+        restricted = route_plan.restrictions[model.model_id]
         if live_rows is not None and assignment.key in live_rows:
             observations, scale, stale_rows = live_rows[assignment.key], 1.0, 0.0
         else:
@@ -356,8 +346,9 @@ def analyse_grouped_statement(statement: SelectStatement) -> GroupedStatementAna
     """The single shape gate for the grouped route.
 
     The engine runs this once per query — to gate the model lookup and the
-    on-demand grouped harvest — and hands the result to ``answer_grouped``,
-    so what triggers a harvest and what the route serves cannot drift apart.
+    on-demand grouped harvest — and hands the result to
+    :func:`plan_grouped_route`, so what triggers a harvest and what the route
+    serves cannot drift apart.
     """
     group_columns = _group_by_columns(statement)
     if group_columns is None:

@@ -14,6 +14,9 @@ to the queried range:
   sums add, averages weight by per-group covered rows, extremes take the
   extreme of the per-group extremes — with error estimates propagated
   accordingly.
+
+Like the grouped route, it has a plan phase (:func:`plan_range_route`, where
+every decline happens) and an evaluate phase (:func:`answer_range`).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from repro.core.approx.aggregates import supports_analytic
 from repro.core.approx.error_bounds import combine_independent, extreme_value_error
 from repro.core.approx.aggregates import _corner_grid, _dense_grid
 from repro.core.approx.routes.aggcalc import (
+    DomainRestriction,
     ItemSpec,
     _as_floats,
     aggregate_value_error,
@@ -47,7 +51,13 @@ from repro.db.table import Table
 from repro.fitting.families import Constant, Exponential, LinearModel, PowerLaw
 from repro.fitting.model import FitResult
 
-__all__ = ["RangeAnswer", "analyse_range_statement", "answer_range"]
+__all__ = [
+    "RangeAnswer",
+    "RangeRoutePlan",
+    "analyse_range_statement",
+    "answer_range",
+    "plan_range_route",
+]
 
 
 @dataclass
@@ -64,11 +74,41 @@ class RangeAnswer:
     covered_rows: float
 
 
+@dataclass(frozen=True)
+class InputBox:
+    """Continuous model inputs clipped to the queried ranges."""
+
+    #: input column -> clipped (low, high) interval
+    ranges: dict[str, tuple[float, float]]
+    #: input column -> representative point (mean or interval midpoint)
+    point: dict[str, float]
+    #: Estimated fraction of raw rows inside the box (0.0: no rows).
+    fraction: float
+
+
+@dataclass(frozen=True)
+class RangeRoutePlan:
+    """The planned (not yet evaluated) range route for one statement.
+
+    The plan phase runs every check that could make the route decline, so a
+    plan :func:`answer_range` receives always evaluates.  Exactly one way of
+    evaluating is bound: grouped models combine the admitted ``records``
+    over ``restricted``; ungrouped models evaluate over ``restricted`` or,
+    for continuous inputs, integrate analytically over ``box``.
+    """
+
+    specs: list[ItemSpec]
+    restricted: DomainRestriction | None
+    #: Grouped models: fit records of the predicate-admitted live groups.
+    records: tuple = ()
+    box: InputBox | None = None
+
+
 def analyse_range_statement(
     statement: SelectStatement,
     model: CapturedModel,
 ) -> tuple[list[ItemSpec], WhereConstraints] | None:
-    """The shape gate of the range route, shared with the unified planner.
+    """The shape gate of the range route.
 
     Returns the analysed select items plus WHERE constraints when this route
     *could* serve the statement from ``model``: an ungrouped aggregate whose
@@ -104,29 +144,56 @@ def analyse_range_statement(
     return specs, constraints
 
 
-def answer_range(
+def plan_range_route(
     statement: SelectStatement,
     model: CapturedModel,
     stats: TableStats,
-) -> RangeAnswer | None:
-    """Try to answer an ungrouped aggregate with range predicates from ``model``.
+) -> RangeRoutePlan | None:
+    """Plan the range route: shape gate plus every decline, no evaluation.
 
     Returns None when the statement shape is outside this route — no range
     predicate (equality-only queries keep their existing routes), residual
-    conjuncts the analysis cannot express, or predicates over the modelled
-    output column (which need per-row filtering).
+    conjuncts the analysis cannot express, predicates over the modelled
+    output column (which need per-row filtering) — or when ``model`` cannot
+    serve it: NULL or post-capture group keys, failed per-group fits, or
+    continuous inputs of a family without a closed form.
     """
     analysed_range = analyse_range_statement(statement, model)
     if analysed_range is None:
         return None
     specs, constraints = analysed_range
-
+    restricted = restricted_domains(model, stats, constraints)
     if model.is_grouped:
-        result = _combine_groups(specs, model, stats, constraints)
-    else:
-        result = _ungrouped(specs, model, stats, constraints)
-    if result is None:
+        if restricted is None:
+            return None
+        records = _admitted_records(model, stats, constraints)
+        if records is None:
+            return None
+        return RangeRoutePlan(specs=specs, restricted=restricted, records=records)
+    if restricted is not None:
+        return RangeRoutePlan(specs=specs, restricted=restricted)
+    if not supports_analytic(model):
         return None
+    box = _input_box(model, stats, constraints)
+    if box is None:
+        return None
+    return RangeRoutePlan(specs=specs, restricted=None, box=box)
+
+
+def answer_range(
+    statement: SelectStatement,
+    model: CapturedModel,
+    stats: TableStats,
+    plan: RangeRoutePlan,
+) -> RangeAnswer:
+    """Evaluate a planned range route (see :func:`plan_range_route`)."""
+    specs = plan.specs
+    if model.is_grouped:
+        result = _combine_groups(specs, model, stats, plan)
+    elif plan.box is None:
+        result = _enumerated(specs, model, stats, plan.restricted)
+    else:
+        result = _analytic_ranges(specs, model, stats, plan.box)
     values, errors, virtual_rows, covered, detail = result
 
     table = build_result_table(specs, {spec.name: [values[spec.name]] for spec in specs})
@@ -149,49 +216,41 @@ def answer_range(
 # ---------------------------------------------------------------------------
 
 
-def _ungrouped(
+def _enumerated(
     specs: list[ItemSpec],
     model: CapturedModel,
     stats: TableStats,
-    constraints: WhereConstraints,
+    restricted: DomainRestriction,
 ):
-    restricted = restricted_domains(model, stats, constraints)
-    if restricted is not None:
-        evaluation = evaluate_fit_over_domains(
-            model.fit,  # type: ignore[arg-type]
-            model,
-            restricted,
-            fitted_observations=stats.row_count,
-            scale=1.0,
-            stale_rows=0.0,  # cardinality comes from live statistics
-            output_null_fraction=_output_null_fraction(model, stats),
+    evaluation = evaluate_fit_over_domains(
+        model.fit,  # type: ignore[arg-type]
+        model,
+        restricted,
+        fitted_observations=stats.row_count,
+        scale=1.0,
+        stale_rows=0.0,  # cardinality comes from live statistics
+        output_null_fraction=_output_null_fraction(model, stats),
+    )
+    if evaluation.n_points == 0:
+        return _empty_result(specs)
+    values: dict[str, Any] = {}
+    errors: dict[str, float] = {}
+    for spec in specs:
+        value, error = aggregate_value_error(
+            spec.function, evaluation, count_star=spec.argument is None
         )
-        if evaluation.n_points == 0:
-            return _empty_result(specs)
-        values: dict[str, Any] = {}
-        errors: dict[str, float] = {}
-        for spec in specs:
-            value, error = aggregate_value_error(
-                spec.function, evaluation, count_star=spec.argument is None
-            )
-            values[spec.name] = value
-            errors[spec.name] = error
-        detail = f"enumerated {evaluation.n_points} restricted domain point(s)"
-        return values, errors, evaluation.n_points, evaluation.covered_rows, detail
-    return _analytic_ranges(specs, model, stats, constraints)
+        values[spec.name] = value
+        errors[spec.name] = error
+    detail = f"enumerated {evaluation.n_points} restricted domain point(s)"
+    return values, errors, evaluation.n_points, evaluation.covered_rows, detail
 
 
-def _analytic_ranges(
-    specs: list[ItemSpec],
+def _input_box(
     model: CapturedModel,
     stats: TableStats,
     constraints: WhereConstraints,
-):
-    """Integrate a continuous-input model over the clipped input box."""
-    if not supports_analytic(model):
-        return None
-    fit: FitResult = model.fit  # type: ignore[assignment]
-
+) -> InputBox | None:
+    """Clip every continuous input to its constraint (None: cannot integrate)."""
     input_ranges: dict[str, tuple[float, float]] = {}
     point: dict[str, float] = {}
     fraction = 1.0
@@ -216,17 +275,29 @@ def _analytic_ranges(
             # (e.g. ``x IN (2, 8) AND x < 5`` keeps only 2).
             pinned = [float(v) for v in constraint.values if constraint.admits(v)]
             if not pinned:
-                return _empty_result(specs)
+                return InputBox(ranges=input_ranges, point=point, fraction=0.0)
             input_ranges[column] = (min(pinned), max(pinned))
             point[column] = float(np.mean(pinned))
             fraction *= sum(column_stats.selectivity_equals(v) for v in pinned)
         else:
             clipped = constraint.clip_interval(low, high)
             if clipped is None:
-                return _empty_result(specs)
+                return InputBox(ranges=input_ranges, point=point, fraction=0.0)
             input_ranges[column] = clipped
             point[column] = (clipped[0] + clipped[1]) / 2.0
             fraction *= column_stats.selectivity_range(clipped[0], clipped[1])
+    return InputBox(ranges=input_ranges, point=point, fraction=fraction)
+
+
+def _analytic_ranges(
+    specs: list[ItemSpec],
+    model: CapturedModel,
+    stats: TableStats,
+    box: InputBox,
+):
+    """Integrate a continuous-input model over the clipped input box."""
+    fit: FitResult = model.fit  # type: ignore[assignment]
+    input_ranges, point, fraction = box.ranges, box.point, box.fraction
 
     row_count = stats.row_count
     est_rows = row_count * fraction
@@ -298,8 +369,6 @@ def _analytic_ranges(
         elif function == "max":
             values[spec.name] = float(np.max(extremes))
             errors[spec.name] = extreme_value_error(rse, est_rows)
-        else:
-            return None
     ranges_text = ", ".join(
         f"{name} in [{low:.6g}, {high:.6g}]" for name, (low, high) in input_ranges.items()
     )
@@ -311,12 +380,16 @@ def _analytic_ranges(
 # ---------------------------------------------------------------------------
 
 
-def _combine_groups(
-    specs: list[ItemSpec],
+def _admitted_records(
     model: CapturedModel,
     stats: TableStats,
     constraints: WhereConstraints,
-):
+) -> tuple | None:
+    """The fit records of every predicate-admitted live group.
+
+    None when a combined answer would be silently wrong: NULL group keys,
+    a failed per-group fit, or a group that appeared after the capture.
+    """
     # Rows with a NULL group key have no per-group fit but still belong in a
     # global aggregate; combining fitted groups would silently drop them.
     for column in model.group_columns:
@@ -324,13 +397,7 @@ def _combine_groups(
         if column_stats is not None and column_stats.null_count > 0:
             return None
 
-    restricted = restricted_domains(model, stats, constraints)
-    if restricted is None:
-        return None
-    scale = growth_scale(model, stats)
-    stale_allowance = staleness_rows(model, stats)
     live_rows = current_group_rows(stats, model.group_columns)
-
     group_columns = model.group_columns
     admitted = []
     for record in model.fit.records:  # type: ignore[union-attr]
@@ -357,8 +424,22 @@ def _combine_groups(
                 constraints.admits(column, key[i]) for i, column in enumerate(group_columns)
             ):
                 return None
+    return tuple(admitted)
+
+
+def _combine_groups(
+    specs: list[ItemSpec],
+    model: CapturedModel,
+    stats: TableStats,
+    plan: RangeRoutePlan,
+):
+    admitted = plan.records
     if not admitted:
         return _empty_result(specs)
+    restricted = plan.restricted
+    scale = growth_scale(model, stats)
+    stale_allowance = staleness_rows(model, stats)
+    live_rows = current_group_rows(stats, model.group_columns)
 
     evaluations = []
     for record in admitted:
@@ -415,15 +496,13 @@ def _combine_groups(
             errors[spec.name] = combine_independent(
                 [w * e for w, (_, e) in zip(weights, pairs)]
             )
-        elif function in ("min", "max"):
+        else:  # min / max
             chooser = min if function == "min" else max
             index = chooser(range(len(pairs)), key=lambda i: pairs[i][0])
             values[spec.name] = float(pairs[index][0])
             errors[spec.name] = extreme_value_error(
                 evaluations[index].residual_standard_error, max(total_covered, 2.0)
             )
-        else:
-            return None
     detail = f"combined {len(admitted)} group(s) over restricted domain"
     return values, errors, virtual_rows, total_covered, detail
 

@@ -85,10 +85,11 @@ class UnifiedPlan:
     planning_seconds: float = 0.0
     catalog_version: int = 0
     store_version: int = 0
-    #: The engine's RouteSketch behind the model candidate (None when no
-    #: model route applies).  Execution reuses its grouped route plan so
-    #: the per-group routing is not recomputed; validity is guaranteed by
-    #: the plan cache's catalog/store version key.
+    #: The engine's routing outcome: the RouteSketch bound to the model
+    #: candidate, or a RouteDecline naming why no model route applies
+    #: (None when no model route was sketched).  Execution runs exactly
+    #: the bound route; validity is guaranteed by the plan cache's
+    #: catalog/store/cost version key.
     sketch: Any = None
     #: Set when raw rows this statement may need live in the model-only
     #: archive tier: exact execution would be incomplete.  If the chosen

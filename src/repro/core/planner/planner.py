@@ -1,8 +1,8 @@
 """The unified accuracy-aware query planner: one entry point, cost-routed.
 
 Every SQL statement becomes one :class:`UnifiedPlan` whose candidate nodes
-are either model-serving routes (the PR-2 routing machinery, probed
-statically through :meth:`ApproximateQueryEngine.sketch_route`) or the
+are either model-serving routes (the PR-2 routing machinery, bound once at
+plan time by :meth:`ApproximateQueryEngine.sketch_route`) or the
 exact vectorized pipeline (PR-3), each with a predicted cost (calibrated
 from ``BENCH_hotpaths.json``) and a predicted relative error (from the
 captured models' quality judgements).  The accuracy contract decides which
@@ -24,7 +24,12 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any
 
-from repro.core.approx.engine import ApproximateAnswer, ApproximateQueryEngine, RouteSketch
+from repro.core.approx.engine import (
+    ApproximateAnswer,
+    ApproximateQueryEngine,
+    RouteDecline,
+    RouteSketch,
+)
 from repro.core.approx.error_bounds import ErrorEstimate
 from repro.core.model_store import ModelStore
 from repro.core.planner.contract import AccuracyContract, AUTO
@@ -70,8 +75,9 @@ class PlannedAnswer:
     contract: AccuracyContract
     plan: UnifiedPlan
     table: Table
-    #: The route that actually served the answer (the engine may have
-    #: fallen back past the planner's prediction).
+    #: The route that served the answer: the chosen node's route, or
+    #: ``exact-fallback`` when no model route was bound or the bound one
+    #: failed (the reason is on ``approx.reason``).
     route_taken: str
     is_exact: bool
     approx: ApproximateAnswer | None = None
@@ -285,7 +291,7 @@ class UnifiedPlanner:
             self.degraded_guard(statement) if self.degraded_guard is not None else None
         )
 
-        sketch: RouteSketch | None = None
+        sketch: RouteSketch | RouteDecline | None = None
         if contract.mode != "exact" or archived_reason is not None or degraded_reason is not None:
             # Even under a pinned-exact contract an archived (or degraded)
             # statement needs the model candidate sketched, so EXPLAIN shows
@@ -294,13 +300,13 @@ class UnifiedPlanner:
                 sql, statement=statement, for_execution=for_execution
             )
         model_node = None
-        if sketch is not None:
+        if isinstance(sketch, RouteSketch):
             model_node = self._model_node(sketch, statement, stats_by_table)
             candidates.insert(0, model_node)
 
         if archived_reason is not None:
             exact_node.unavailable_reason = archived_reason
-            if model_node is not None and sketch is not None and sketch.uncovered_rows > 0:
+            if model_node is not None and sketch.uncovered_rows > 0:
                 # A hybrid plan's exact fill-in scans raw rows the archive no
                 # longer holds — it is as dishonest as plain exact execution.
                 model_node.unavailable_reason = (
@@ -309,7 +315,7 @@ class UnifiedPlanner:
             chosen, reason = self._choose_archived(contract, model_node, exact_node)
         elif degraded_reason is not None:
             exact_node.unavailable_reason = degraded_reason
-            if model_node is not None and sketch is not None and sketch.uncovered_rows > 0:
+            if model_node is not None and sketch.uncovered_rows > 0:
                 # The hybrid fill-in would scan the surviving partial rows of
                 # a failed component and silently under-count.
                 model_node.unavailable_reason = (
@@ -671,11 +677,13 @@ class UnifiedPlanner:
             )
 
         if plan.is_model_route or contract.mode == "approx":
-            statement = self.database.parse_sql(sql)
+            # The engine executes exactly the route the plan bound (or, in
+            # approx mode without one, falls back with the plan's decline).
             with tracer.span("execute") as exec_span:
                 try:
                     approx = self.engine.answer(
                         sql,
+                        plan.sketch,
                         # Falling back to exact is dishonest when raw rows are
                         # archived or a needed component is degraded: a
                         # mid-route failure must surface, not degrade into an
@@ -684,10 +692,6 @@ class UnifiedPlanner:
                             contract.allow_exact_fallback
                             and plan.archived_reason is None
                             and plan.degraded_reason is None
-                        ),
-                        statement=statement,
-                        grouped_route_plan=(
-                            plan.sketch.grouped_plan if plan.sketch is not None else None
                         ),
                     )
                 except ApproximationError as exc:

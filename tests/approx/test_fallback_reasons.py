@@ -128,14 +128,18 @@ def test_unsupported_aggregate_function_reason(fallback_db):
 
 def test_non_numeric_pin_reports_typed_errors(fallback_db):
     """``x = 'abc'`` on a numeric model input must not crash the model
-    machinery with a bare ValueError: the approximation layer declines with
-    its own error, and the fallback surfaces the executor's type error —
-    exactly what exact execution raises for the same query."""
-    sql = "SELECT avg(y) AS m FROM cont WHERE x > 1 AND x = 'abc'"
-    with pytest.raises(ApproximationError, match="non-numeric"):
-        fallback_db.approximate_sql(sql, allow_fallback=False)
-    with pytest.raises(ExecutionError, match="cannot compare string column"):
-        fallback_db.approximate_sql(sql)
+    machinery with a bare ValueError — neither on the range route nor on the
+    point route: the approximation layer declines with its own error, and
+    the fallback surfaces the executor's type error — exactly what exact
+    execution raises for the same query."""
+    for sql in (
+        "SELECT avg(y) AS m FROM cont WHERE x > 1 AND x = 'abc'",
+        "SELECT y FROM cont WHERE x = 'abc'",
+    ):
+        with pytest.raises(ApproximationError, match="non-numeric"):
+            fallback_db.approximate_sql(sql, allow_fallback=False)
+        with pytest.raises(ExecutionError, match="cannot compare string column"):
+            fallback_db.approximate_sql(sql)
 
 
 def test_blowup_protection_reason():

@@ -212,6 +212,28 @@ class TestQueryClasses:
         assert planned_db.query("SELECT count(*) AS n FROM scratch").scalar() == 1
 
 
+class TestPlanExecutionAgreement:
+    def test_grouped_model_with_null_group_keys_runs_the_explained_route(self):
+        """NULL group keys make the range route decline; the plan must know.
+
+        The grouped model cannot combine its groups into a global aggregate
+        once rows with a NULL group key exist, so the route that executes,
+        the route the plan chose and the route EXPLAIN shows must all be the
+        same — never a range plan silently served by another route.
+        """
+        rng = np.random.default_rng(7)
+        db = _make_db(_linear_rows(rng, groups=4, xs=4, reps=12), verify_sample_fraction=0.0)
+        assert db.fit("t", "y ~ linear(x)", group_by="g").accepted
+        db.ingest("t", [(None, 1.0, 3.0), (None, 2.0, 4.0)], flush=True)
+        sql = "SELECT sum(y) AS s FROM t WHERE x >= 1"
+        contract = AccuracyContract(mode="approx", verify_fraction=0.0)
+
+        answer = db.query(sql, contract)
+
+        assert answer.route_taken == answer.plan.chosen.route
+        assert f"Decision: {answer.route_taken} — " in db.explain(sql, contract)
+
+
 class TestPlanCache:
     def test_repeated_plans_hit_the_cache(self, planned_db):
         sql = "SELECT g, avg(y) AS m FROM t GROUP BY g"
