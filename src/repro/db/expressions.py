@@ -52,6 +52,8 @@ _COMPARISON_OPS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     ">=": np.greater_equal,
 }
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
 _SCALAR_FUNCTIONS: dict[str, Callable[..., np.ndarray]] = {
     "abs": np.abs,
     "sqrt": np.sqrt,
@@ -179,12 +181,28 @@ class Literal(Expression):
 
     value: Any
 
+    def typed_value(self) -> tuple[DataType, Any]:
+        """The literal's column type and its coerced python value.
+
+        NULL is FLOAT64.  An integer outside the INT64 range is FLOAT64, as
+        in SQLite, rather than an overflow.
+        """
+        if self.value is None:
+            return DataType.FLOAT64, None
+        dtype = DataType.infer(self.value)
+        value = dtype.coerce(self.value)
+        if dtype is DataType.INT64 and not _INT64_MIN <= value <= _INT64_MAX:
+            return DataType.FLOAT64, float(value)
+        return dtype, value
+
     def evaluate(self, table: Table) -> Column:
         n = table.num_rows
-        if self.value is None:
-            return Column.from_values(DataType.FLOAT64, [None] * n)
-        dtype = DataType.infer(self.value)
-        return Column.from_values(dtype, [self.value] * n)
+        dtype, value = self.typed_value()
+        if n == 0:
+            return Column.empty(dtype)
+        if value is None:
+            return Column(dtype, np.full(n, np.nan), np.zeros(n, dtype=bool))
+        return Column(dtype, np.full(n, value, dtype=dtype.numpy_dtype), np.ones(n, dtype=bool))
 
     def referenced_columns(self) -> set[str]:
         return set()
@@ -282,7 +300,7 @@ class FunctionCall(Expression):
         for column in arg_columns:
             valid &= column.validity
         with np.errstate(all="ignore"):
-            values = fn(*[c.values.astype(np.float64) for c in arg_columns])
+            values = fn(*[c.values.astype(np.float64, copy=False) for c in arg_columns])
         values = np.asarray(values, dtype=np.float64)
         valid = valid & np.isfinite(values)
         values = np.where(valid, values, np.nan)
@@ -334,8 +352,19 @@ class InList(Expression):
         return f"({self.operand} IN ({', '.join(str(v) for v in self.values)}))"
 
     def evaluate(self, table: Table) -> Column:
+        n = table.num_rows
         if not self.values:
-            return Column.from_values(DataType.BOOL, [False] * table.num_rows)
+            return Column(DataType.BOOL, np.zeros(n, dtype=bool), np.ones(n, dtype=bool))
+        keys = _numeric_literal_keys(self.values)
+        if keys is not None:
+            operand = self.operand.evaluate(table)
+            if operand.dtype.is_numeric:
+                # Same float64 comparison as the ``=`` path; NaN matches nothing.
+                hits = np.isin(_numeric_values(operand), keys)
+                hits &= operand.validity
+                return Column(DataType.BOOL, hits, operand.validity.copy())
+        # A NULL item (or a non-numeric operand) keeps the OR-chain, whose
+        # three-valued result a set lookup cannot express.
         result: Column | None = None
         for value in self.values:
             term = BinaryOp("=", self.operand, value).evaluate(table)
@@ -372,7 +401,20 @@ class IsNull(Expression):
 def _numeric_values(column: Column) -> np.ndarray:
     if not column.dtype.is_numeric:
         raise ExecutionError(f"expected a numeric operand, got {column.dtype.value}")
-    return column.values.astype(np.float64)
+    return column.values.astype(np.float64, copy=False)
+
+
+def _numeric_literal_keys(items: tuple[Expression, ...]) -> np.ndarray | None:
+    """The float64 values of an IN list made only of non-NULL numeric literals."""
+    keys = []
+    for item in items:
+        if not isinstance(item, Literal):
+            return None
+        dtype, value = item.typed_value()
+        if value is None or not dtype.is_numeric:
+            return None
+        keys.append(value)
+    return np.array(keys, dtype=np.float64)
 
 
 def _evaluate_arithmetic(op: str, left: Column, right: Column, valid: np.ndarray) -> Column:
@@ -399,10 +441,13 @@ def _evaluate_arithmetic(op: str, left: Column, right: Column, valid: np.ndarray
 
 def _evaluate_comparison(op: str, left: Column, right: Column, valid: np.ndarray) -> Column:
     if left.dtype is DataType.STRING or right.dtype is DataType.STRING:
-        if left.dtype is not right.dtype:
-            raise ExecutionError("cannot compare string column with non-string operand")
-        with np.errstate(all="ignore"):
-            values = _COMPARISON_OPS[op](left.values, right.values)
+        # Compare only rows where both operands are present: None does not
+        # order against str, and an all-NULL operand (``s = NULL``) has no type.
+        values = np.zeros(len(valid), dtype=bool)
+        if valid.any():
+            if left.dtype is not right.dtype:
+                raise ExecutionError("cannot compare string column with non-string operand")
+            values[valid] = _COMPARISON_OPS[op](left.values[valid], right.values[valid])
     elif left.dtype is DataType.BOOL or right.dtype is DataType.BOOL:
         values = _COMPARISON_OPS[op](left.values.astype(np.int64), right.values.astype(np.int64))
     else:

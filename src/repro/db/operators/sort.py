@@ -9,11 +9,16 @@ __all__ = ["Sort"]
 
 
 class Sort(Operator):
-    """Stable multi-key sort; keys are ``(column_name, ascending)`` pairs."""
+    """Stable multi-key sort; keys are ``(column_name, ascending)`` pairs.
 
-    def __init__(self, child: Operator, keys: list[tuple[str, bool]]) -> None:
+    ``limit``, when set, promises that only the first ``limit`` sorted rows
+    are consumed (``ORDER BY ... LIMIT``), which lets the sort keep a top-k.
+    """
+
+    def __init__(self, child: Operator, keys: list[tuple[str, bool]], limit: int | None = None) -> None:
         self.child = child
         self.keys = keys
+        self.limit = limit
 
     def children(self) -> list[Operator]:
         return [self.child]
@@ -24,4 +29,4 @@ class Sort(Operator):
 
     def execute(self) -> Table:
         table = self.child.execute()
-        return table.sort_by(self.keys)
+        return table.sort_by(self.keys, limit=self.limit)

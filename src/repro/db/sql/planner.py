@@ -121,7 +121,8 @@ class _PlanBuilder:
             plan = _Distinct(plan)
 
         if statement.order_by:
-            plan = Sort(plan, self._resolve_order_keys(output_names + [p.name for p in hidden]))
+            bound = None if statement.limit is None else statement.limit + statement.offset
+            plan = Sort(plan, self._resolve_order_keys(output_names + [p.name for p in hidden]), limit=bound)
             if hidden:
                 plan = Project(plan, [Projection(ColumnRef(name), alias=name) for name in output_names])
 

@@ -276,22 +276,47 @@ class Table:
             {n: self._columns[n].concat(other.column(n)) for n in self.schema.names},
         )
 
-    def sort_by(self, keys: Sequence[tuple[str, bool]]) -> "Table":
+    def sort_by(self, keys: Sequence[tuple[str, bool]], limit: int | None = None) -> "Table":
         """Sort by a list of ``(column, ascending)`` keys (stable).
 
         Vectorized via :func:`np.lexsort` over per-key rank codes: every key
         column is ranked with :func:`np.unique` (which orders strings and
         numbers alike), descending keys flip the ranks, and NULLs always rank
         after every value so they sort last in both directions.
+
+        With ``limit``, only the first ``limit`` rows of the result must be
+        right; rows after them may be dropped (see :meth:`_top_k`).
         """
         if self.num_rows == 0 or not keys:
             return self
+        if limit is not None and 0 < limit < self.num_rows and len(keys) == 1:
+            top = self._top_k(*keys[0], limit)
+            if top is not None:
+                return top
         # np.lexsort sorts by the *last* key array first, so pass the primary
         # key last; lexsort is stable, matching the previous per-key
         # stable-sort semantics (ties keep their original row order).
         sort_keys = [self._sort_codes(name, ascending) for name, ascending in reversed(list(keys))]
         order = np.lexsort(sort_keys)
         return self.take(order)
+
+    def _top_k(self, name: str, ascending: bool, k: int) -> "Table | None":
+        """Rows up to and including the k-th of a numeric key, stably sorted.
+
+        Every row whose key ties the k-th is kept, so the first ``k`` rows
+        equal those of the full stable sort.  None when the key is not
+        numeric or has NULLs (the full sort handles those).
+        """
+        column = self.column(name)
+        if not column.dtype.is_numeric or column.null_mask().any():
+            return None
+        values = column.values
+        if not ascending:
+            # ~x = -x - 1 reverses int64 order exactly, with no overflow.
+            values = ~values if column.dtype is DataType.INT64 else -values
+        kth = np.partition(values, k - 1)[k - 1]
+        candidates = np.flatnonzero(values <= kth)
+        return self.take(candidates[np.argsort(values[candidates], kind="stable")])
 
     def _sort_codes(self, name: str, ascending: bool) -> np.ndarray:
         """Int64 rank codes for one sort key: NULLs last in both directions."""

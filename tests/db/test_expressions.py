@@ -1,7 +1,10 @@
 """Tests for expression evaluation (including SQL NULL semantics)."""
 
+import numpy as np
 import pytest
 
+from repro.db import Database
+from repro.db.column import Column
 from repro.db.expressions import (
     Between,
     BinaryOp,
@@ -14,6 +17,7 @@ from repro.db.expressions import (
     lit,
     truthy_mask,
 )
+from repro.db.schema import ColumnDef, Schema
 from repro.db.table import Table
 from repro.db.types import DataType
 from repro.errors import ExecutionError
@@ -168,3 +172,72 @@ class TestOtherOperators:
     def test_evaluate_scalar(self):
         expr = (col("x") * lit(2)) + lit(1)
         assert expr.evaluate_scalar({"x": 5}) == 11
+
+
+class TestLiteralBroadcast:
+    @pytest.mark.parametrize(
+        "value",
+        [7, -(2**63), 2**63 - 1, 2.5, float("nan"), "x", True, False, np.int32(3), np.float32(0.5), None],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_matches_per_row_construction(self, value, n):
+        table = Table.from_dict("t", {"a": list(range(n))})
+        dtype = DataType.FLOAT64 if value is None else DataType.infer(value)
+        expected = Column.from_values(dtype, [value] * n)
+        result = Literal(value).evaluate(table)
+        assert result.dtype is expected.dtype
+        assert result.values.dtype == expected.values.dtype
+        np.testing.assert_array_equal(result.values, expected.values)
+        np.testing.assert_array_equal(result.validity, expected.validity)
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 99999999999999999999])
+    def test_integer_beyond_int64_is_float(self, value, table):
+        result = Literal(value).evaluate(table)
+        assert result.dtype is DataType.FLOAT64
+        assert result.to_pylist() == [float(value)] * table.num_rows
+
+    def test_integer_beyond_int64_in_sql_matches_sqlite(self):
+        db = Database()
+        db.load_dict("t", {"x": [1, 2, None]})
+        assert db.sql("SELECT x FROM t WHERE x = 99999999999999999999").rows() == []
+        assert db.sql("SELECT x FROM t WHERE x < 99999999999999999999").rows() == [(1,), (2,)]
+        assert db.sql("SELECT x FROM t WHERE x > -99999999999999999999").rows() == [(1,), (2,)]
+
+    def test_in_list_three_valued_with_null_item(self, table):
+        expr = InList(col("a"), [lit(1), lit(None)])
+        assert expr.evaluate(table).to_pylist() == [True, None, None, None]
+        assert UnaryOp("not", expr).evaluate(table).to_pylist() == [False, None, None, None]
+
+    def test_numeric_in_list_matches_equality_chain(self, table):
+        items = [lit(2), lit(30.0), lit(2**63), lit(float("nan"))]
+        for name in ("a", "b"):
+            chained = col(name).eq(items[0])
+            for item in items[1:]:
+                chained = chained.or_(col(name).eq(item))
+            assert InList(col(name), items).evaluate(table) == chained.evaluate(table)
+
+
+class TestNoPerRowPython:
+    """Predicates over literals must not expand the literal into a Python list."""
+
+    def test_predicates_do_not_build_columns_from_python_values(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = 200_000
+        x = rng.random(n)
+        k = rng.integers(0, 10, n)
+        db = Database()
+        schema = Schema([ColumnDef("x", DataType.FLOAT64), ColumnDef("k", DataType.INT64)])
+        db.register_table(Table.from_numpy("t", schema, {"x": x, "k": k}))
+
+        def refuse(cls, dtype, values):
+            raise AssertionError(f"Column.from_values called with {len(values)} values")
+
+        monkeypatch.setattr(Column, "from_values", classmethod(refuse))
+        cases = [
+            ("SELECT x FROM t WHERE x > 0.5", x > 0.5),
+            ("SELECT x FROM t WHERE x BETWEEN 0.2 AND 0.4", (x >= 0.2) & (x <= 0.4)),
+            ("SELECT k FROM t WHERE k IN (1, 2, 3)", np.isin(k, [1, 2, 3])),
+            ("SELECT x FROM t WHERE x = NULL", np.zeros(n, dtype=bool)),
+        ]
+        for query, expected in cases:
+            assert db.sql(query).table.num_rows == int(expected.sum()), query
