@@ -10,8 +10,11 @@ other bench suites):
   instrumentation adds when observability is off — the acceptance budget
   is ≤3% (gated at 5% by ``check_hotpath_regression.py``).
 * ``laws_query_obs_off`` — the full ``LawsDatabase.query`` suite with
-  observability disabled, against exact execution of the same suite (the
-  steady-state serving path the planner bench also gates).
+  observability disabled (the steady-state serving path the planner bench
+  also gates), against a row-at-a-time Python evaluation of the same six
+  queries over the same rows.  That reference is frozen seed-style code,
+  so the ratio moves only with the serving path, not with the speed of
+  the exact engine the path falls back to.
 * ``laws_query_obs_on`` — the same suite with full telemetry live (span
   trees, per-operator tracing, metrics, compliance accounting), reported
   as ``instrumented_overhead_fraction`` over the obs-off run.  Tracing is
@@ -78,6 +81,34 @@ def _data(rows: int, seed: int = 42) -> dict:
         "x": [float(v) for v in x],
         "y": [float(v) for v in y],
     }
+
+
+def _row_at_a_time_suite(data: dict) -> list:
+    """The six SUITE answers from a per-row Python loop over ``data``."""
+    groups: dict[int, list[float]] = {}
+    between: list[float] = []
+    point: list[float] = []
+    enumerated: list[float] = []
+    counted = 0
+    for g, x, y in zip(data["g"], data["x"], data["y"]):
+        groups.setdefault(g, []).append(y)
+        if 1.0 <= x <= 2.0:
+            between.append(y)
+        if g == 3 and x == 1.0:
+            point.append(y)
+        if g == 2:
+            enumerated.append(y)
+        if x >= 1.0:
+            counted += 1
+    keys = sorted(groups)
+    return [
+        [(g, sum(groups[g]) / len(groups[g]), len(groups[g])) for g in keys],
+        sum(between) / len(between),
+        point,
+        sorted(enumerated),
+        counted,
+        [(g, min(groups[g]), max(groups[g])) for g in groups],
+    ]
 
 
 def _build_laws_db(rows: int, observability: bool) -> LawsDatabase:
@@ -153,9 +184,8 @@ def _bench_laws_query(rows: int) -> tuple[dict, dict, str, dict]:
         for sql in SUITE:
             db_off.query(sql, contract)
 
-    for sql in SUITE:
-        db_off.database.sql(sql)
-    exact_seconds = _best(lambda: [db_off.database.sql(sql) for sql in SUITE])
+    data = _data(rows)
+    reference_seconds = _best(lambda: _row_at_a_time_suite(data))
     _suite_off()
     off_seconds = _best(_suite_off)
 
@@ -174,9 +204,9 @@ def _bench_laws_query(rows: int) -> tuple[dict, dict, str, dict]:
         "queries": queries,
         "seconds": off_seconds,
         "queries_per_second": queries / off_seconds,
-        "reference": "exact execution of the same suite through Database.sql",
-        "reference_seconds": exact_seconds,
-        "speedup_vs_seed": exact_seconds / off_seconds,
+        "reference": "row-at-a-time python evaluation of the same suite (seed-style)",
+        "reference_seconds": reference_seconds,
+        "speedup_vs_seed": reference_seconds / off_seconds,
     }
     on_entry = {
         "description": "LawsDatabase.query suite with full telemetry live (traces, metrics, compliance)",

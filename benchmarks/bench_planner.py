@@ -4,7 +4,10 @@ The planner sits in front of every query, so its cost must be noise:
 the acceptance bar is **planning overhead ≤ 5% of exact execution time**
 over the bench suite (warm plan cache — the steady-state serving path).
 The bench also measures routing-decision throughput and the plan cache's
-speedup over cold planning, and emits ``BENCH_planner.json`` in the same
+speedup over cold planning.  Cold routing is judged against the seed's own
+per-query preparation — the exact engine parsing and planning the suite
+with its caches cleared — rather than against exact execution, so a faster
+exact engine does not read as slower routing.  It emits ``BENCH_planner.json`` in the same
 shape as ``BENCH_hotpaths.json`` so
 ``benchmarks/check_hotpath_regression.py`` gates both files.
 
@@ -92,6 +95,15 @@ def run(rows: int) -> dict:
 
     cold_seconds = _best(_cold_pass)
 
+    # The seed's per-query preparation before any routing existed: parse
+    # and physical plan through the exact engine, its caches cleared.
+    def _exact_plan_pass():
+        db.database.clear_plan_cache()
+        for sql in SUITE:
+            db.database.explain(sql)
+
+    exact_plan_seconds = _best(_exact_plan_pass)
+
     overhead_fraction = warm_seconds / exact_seconds if exact_seconds > 0 else float("inf")
     queries = len(SUITE)
     report = {
@@ -119,9 +131,9 @@ def run(rows: int) -> dict:
                 "queries": queries,
                 "seconds": cold_seconds,
                 "queries_per_second": queries / cold_seconds,
-                "reference": "exact execution of the same suite",
-                "reference_seconds": exact_seconds,
-                "speedup_vs_seed": exact_seconds / cold_seconds,
+                "reference": "exact parse + physical plan of the same suite (executor caches cleared per pass)",
+                "reference_seconds": exact_plan_seconds,
+                "speedup_vs_seed": exact_plan_seconds / cold_seconds,
             },
         },
     }

@@ -202,7 +202,11 @@ class Literal(Expression):
             return Column.empty(dtype)
         if value is None:
             return Column(dtype, np.full(n, np.nan), np.zeros(n, dtype=bool))
-        return Column(dtype, np.full(n, value, dtype=dtype.numpy_dtype), np.ones(n, dtype=bool))
+        # ``fill`` shares one str object across an object array, where
+        # ``np.full`` would build a new string per row.
+        values = np.empty(n, dtype=dtype.numpy_dtype)
+        values.fill(value)
+        return Column(dtype, values, np.ones(n, dtype=bool))
 
     def referenced_columns(self) -> set[str]:
         return set()
@@ -239,6 +243,9 @@ class BinaryOp(Expression):
         if op in _ARITHMETIC_OPS:
             return _evaluate_arithmetic(op, left, right, valid)
         if op in _COMPARISON_OPS:
+            if _is_null_literal(self.left) or _is_null_literal(self.right):
+                # Comparing with NULL is NULL, whatever the other operand's type.
+                return Column(DataType.BOOL, np.zeros(len(valid), dtype=bool), valid)
             return _evaluate_comparison(op, left, right, valid)
         if op in ("and", "or"):
             return _evaluate_boolean(op, left, right)
@@ -404,6 +411,10 @@ def _numeric_values(column: Column) -> np.ndarray:
     return column.values.astype(np.float64, copy=False)
 
 
+def _is_null_literal(expression: Expression) -> bool:
+    return isinstance(expression, Literal) and expression.value is None
+
+
 def _numeric_literal_keys(items: tuple[Expression, ...]) -> np.ndarray | None:
     """The float64 values of an IN list made only of non-NULL numeric literals."""
     keys = []
@@ -441,12 +452,13 @@ def _evaluate_arithmetic(op: str, left: Column, right: Column, valid: np.ndarray
 
 def _evaluate_comparison(op: str, left: Column, right: Column, valid: np.ndarray) -> Column:
     if left.dtype is DataType.STRING or right.dtype is DataType.STRING:
-        # Compare only rows where both operands are present: None does not
-        # order against str, and an all-NULL operand (``s = NULL``) has no type.
-        values = np.zeros(len(valid), dtype=bool)
-        if valid.any():
-            if left.dtype is not right.dtype:
-                raise ExecutionError("cannot compare string column with non-string operand")
+        if left.dtype is not right.dtype:
+            raise ExecutionError("cannot compare string column with non-string operand")
+        if valid.all():
+            values = _COMPARISON_OPS[op](left.values, right.values)
+        else:
+            # None does not order against str: compare only rows with both operands.
+            values = np.zeros(len(valid), dtype=bool)
             values[valid] = _COMPARISON_OPS[op](left.values[valid], right.values[valid])
     elif left.dtype is DataType.BOOL or right.dtype is DataType.BOOL:
         values = _COMPARISON_OPS[op](left.values.astype(np.int64), right.values.astype(np.int64))

@@ -86,6 +86,23 @@ class TestComparisons:
         with pytest.raises(ExecutionError):
             col("s").eq(lit(1)).evaluate(table)
 
+    def test_string_vs_number_fails_whatever_the_rows(self, table):
+        # The error follows the operand types, not the data: no rows, or
+        # no row with both operands present, still raises.
+        with pytest.raises(ExecutionError):
+            col("s").eq(lit(1)).evaluate(table.slice(0, 0))
+        with pytest.raises(ExecutionError):
+            col("s").eq(col("a")).evaluate(table.slice(3, 4))
+
+    def test_string_vs_null_literal_is_null(self, table):
+        result = col("s").eq(lit(None)).evaluate(table)
+        assert result.validity.tolist() == [False] * 4
+
+    def test_string_ordering_skips_null_rows(self):
+        strings = Table.from_dict("t", {"s": ["b", None, "a"]})
+        result = (col("s") < lit("b")).evaluate(strings)
+        assert result.to_pylist() == [False, None, True]
+
     def test_truthy_mask_treats_null_as_false(self, table):
         mask = truthy_mask((col("a") > lit(1)).evaluate(table))
         assert mask.tolist() == [False, True, True, False]
